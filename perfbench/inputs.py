@@ -2,8 +2,10 @@
 
 Everything a run feeds the program — graphs, request streams, delta
 batches, solve sources — comes from :func:`numpy.random.default_rng` seeded
-by the ``--seed`` argument, so one seed always yields one op stream. The
-oracle results are computed here too, before any timed region.
+by the ``--seed`` argument (the analytics graphs' structure excepted, see
+:func:`analytics_inputs`), so one seed always yields one op stream. The
+``*_expected`` functions compute the oracle results; a run calls them after
+its timed regions.
 """
 
 from __future__ import annotations

@@ -483,7 +483,6 @@ def _analytics(seed: int, seconds: float, trace: bool) -> Outcome:
     passes = {False: [], True: []}
     per_app = {app: [] for app in APPS}
     outputs = []  # (app, graph, summary)
-    slowest = []  # per untraced pass, its slowest application
     deadline = time.perf_counter() + seconds
     traced = False
     while time.perf_counter() < deadline or len(passes[False]) < 2:
@@ -516,7 +515,6 @@ def _analytics(seed: int, seconds: float, trace: bool) -> Outcome:
                 rec.uninstall()
         passes[traced].append(t_pass)
         if not traced:
-            slowest.append(max(times.values()))
             for app in APPS:
                 per_app[app].append(times[app])
         traced = trace and not traced
@@ -528,11 +526,9 @@ def _analytics(seed: int, seconds: float, trace: bool) -> Outcome:
     untraced = passes[False]
     if not trace:
         # a run holds a handful of passes: no percentile above the median
-        # has ten samples beyond it, so the tail is the median of each
-        # pass's slowest application (k-truss), summed over the graphs
+        # has ten samples beyond it, so the tail is the slowest pass
         _summary(outcome, setups, 1.0 / median(untraced), median(untraced),
-                 median(slowest), f"passes={len(untraced)} (tail = median "
-                 f"of the slowest application per pass)")
+                 max(untraced), f"passes={len(untraced)} (tail = slowest)")
     _finish(outcome, log, rss, rec,
             1.0 / statistics.fmean(passes[True]) if passes[True] else None,
             1.0 / statistics.fmean(untraced))
