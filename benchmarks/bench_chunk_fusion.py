@@ -21,7 +21,9 @@ paying the stitch copy. Faces:
 
 Every fused result is checked bit-identical against its loop baseline (and
 the smallest TC case against the pure-Python reference tier) before timings
-are recorded.
+are recorded. ``msa``/``hash`` run compiled when a native backend serves
+the call, so their fused legs here run with the backend withheld
+(:func:`common.fused_only`) — this bench measures the fused kernels.
 
 ``main()`` appends a run to ``BENCH_kernels.json`` at the repo root — the
 perf-trajectory artifact documented in ``benchmarks/common.py`` and
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from common import append_trajectory_run, emit, tc_workload
+from common import append_trajectory_run, emit, fused_only, tc_workload
 from repro.bench import render_table, time_callable
 from repro.core import build_plan, masked_spgemm
 from repro.core import hash_kernel, heap_kernel, msa_kernel
@@ -82,8 +84,17 @@ def _loop_runner(loop_fn, A, B, mask, semiring):
 
 
 def _fused_runner(A, B, mask, semiring, algorithm):
-    return lambda: masked_spgemm(A, B, mask, algorithm=algorithm,
+    def run():
+        with fused_only():
+            return masked_spgemm(A, B, mask, algorithm=algorithm,
                                  semiring=semiring)
+    return run
+
+
+def _auto_runner(E, mask):
+    """``auto`` as served: the compiled tier engages when it can."""
+    return lambda: masked_spgemm(E, E, mask, algorithm="auto",
+                                 semiring=PLUS_PAIR)
 
 
 def _bit_identical(got, want) -> bool:
@@ -164,18 +175,18 @@ def _bench_fused_vs_loop(results, rows):
 
 
 def _expected_auto_pick() -> str:
-    """What auto must pick on the ktruss-support gate case: the compiled
-    msa when the native probe passes (it subsumes the loop tier's
+    """What auto must pick on the ktruss-support gate case: msa when the
+    native probe passes (its compiled loop subsumes the loop tier's
     dispatch-overhead win), the per-row loop tier otherwise."""
     from repro.native import native_available
 
-    return "msa-native" if native_available() else "msa-loop"
+    return "msa" if native_available() else "msa-loop"
 
 
 def _bench_auto_routing(results, rows):
     """ISSUE 6 face: the ktruss-support regime (C = E·E masked by E, long
     skewed rows) should route ``auto`` to the per-row ``msa-loop`` tier on
-    the scale-10 point (``msa-native`` once the compiled tier is live) —
+    the scale-10 point (compiled ``msa`` once the native tier is live) —
     and that routing must not lose to the fused ``msa`` the dispatcher
     previously picked."""
     from repro.core.registry import auto_select
@@ -187,7 +198,7 @@ def _bench_auto_routing(results, rows):
         E = to_undirected_simple(rmat(s, 8, rng=7100 + s))
         mask = Mask.from_matrix(E)
         picked = auto_select(E, E, mask)
-        auto_run = _fused_runner(E, E, mask, PLUS_PAIR, "auto")
+        auto_run = _auto_runner(E, mask)
         msa_run = _fused_runner(E, E, mask, PLUS_PAIR, "msa")
         same = _bit_identical(auto_run(), msa_run())
         t_auto = time_callable(auto_run, repeats=3, warmup=1)
@@ -214,15 +225,18 @@ def _bench_direct_write(results, rows):
             def stitch():
                 # the pre-direct-write warm path: one maximal chunk (the old
                 # lone-worker heuristic), RowBlock concat + stitch copy
-                return parallel_masked_spgemm(
-                    A, B, mask, algorithm=alg, semiring=semiring, phases=2,
-                    plan=plan, nchunks=1, direct_write=False)
+                with fused_only():
+                    return parallel_masked_spgemm(
+                        A, B, mask, algorithm=alg, semiring=semiring,
+                        phases=2, plan=plan, nchunks=1, direct_write=False)
 
             def direct():
                 # the new warm path: cache-budget chunks scattering into
                 # preallocated CSR arrays
-                return masked_spgemm(A, B, mask, algorithm=alg,
-                                     semiring=semiring, phases=2, plan=plan)
+                with fused_only():
+                    return masked_spgemm(A, B, mask, algorithm=alg,
+                                         semiring=semiring, phases=2,
+                                         plan=plan)
 
             same = _bit_identical(direct(), stitch())
             t_stitch = time_callable(stitch, repeats=3, warmup=1)
@@ -394,15 +408,15 @@ def test_chunk_fusion_direct_write_warm(benchmark, tc_small):
 
 def test_chunk_fusion_auto_ktruss_loop(benchmark):
     """Routing face: on the large ktruss-support regime ``auto`` must pick
-    the per-row msa-loop tier (msa-native when the compiled tier is live)
-    and stay bit-identical to fused msa."""
+    the per-row msa-loop tier (msa when the compiled tier is live) and
+    stay bit-identical to fused msa."""
     from repro.core.registry import auto_select
 
     E = to_undirected_simple(rmat(10, 8, rng=7110))
     mask = Mask.from_matrix(E)
     assert auto_select(E, E, mask) == _expected_auto_pick()
-    got = benchmark.pedantic(_fused_runner(E, E, mask, PLUS_PAIR, "auto"),
-                             rounds=3, warmup_rounds=1)
+    got = benchmark.pedantic(_auto_runner(E, mask), rounds=3,
+                             warmup_rounds=1)
     assert _bit_identical(got, _fused_runner(E, E, mask, PLUS_PAIR, "msa")())
 
 

@@ -1,20 +1,24 @@
 """Compiled (native) kernel tier vs the fused NumPy kernels.
 
-PR 9 adds a compiled implementation of the numeric pass behind the same
-``numeric_rows``/``numeric_rows_into`` protocol: ``msa-native`` and
-``hash-native`` resolve through a backend ladder (numba JIT where
-installed, cffi + the system C compiler otherwise) and fall back to their
-fused bases bit-identically when neither exists. The fused kernels pay
-per-row Python dispatch plus a NumPy temporary per accumulator step; the
-compiled row loop runs the whole numeric pass in one call, which is where
-the paper's single-thread kernel gap lives.
+The ``msa`` and ``hash`` numeric passes have a compiled implementation
+behind the same ``numeric_rows``/``numeric_rows_into`` protocol: the
+registry specs resolve a backend ladder (numba JIT where installed, cffi +
+the system C compiler otherwise) and delegate to the fused NumPy kernels
+bit-identically when neither exists. The fused kernels pay per-row Python
+dispatch plus a NumPy temporary per accumulator step; the compiled row loop
+runs the whole numeric pass in one call, which is where the paper's
+single-thread kernel gap lives.
 
 This bench times exactly that swap on the gate workload (**tc-rmat-s13-e8**,
 the repeated-mask TC product ``L ⊙ (L·L)``, PLUS_PAIR, 2P, warm plans) for
 both accumulator families:
 
-* ``msa`` vs ``msa-native`` — dense-scratch accumulator;
-* ``hash`` vs ``hash-native`` — open-addressing accumulator.
+* ``msa`` fused vs ``msa`` native — dense-scratch accumulator;
+* ``hash`` fused vs ``hash`` native — open-addressing accumulator.
+
+The fused leg runs the same masked product with the compiled backend
+withheld, so ``get_spec(key)`` delegates to ``msa_kernel``/``hash_kernel``
+— the code path ``REPRO_NATIVE=off`` serves, fused chunk budget included.
 
 Every repeat's output is checked bit-identical against the fused baseline
 before its time counts, and the fused baseline itself is checked against
@@ -45,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from common import append_trajectory_run, emit, latest_trajectory_run, tc_workload
+from common import (append_trajectory_run, emit, fused_only,
+                    latest_trajectory_run, tc_workload)
 from repro.bench import render_table
 from repro.bench.metrics import latency_percentiles
 from repro.core import build_plan, masked_spgemm
@@ -65,7 +70,7 @@ ARTIFACT_SERVICE = ROOT / "BENCH_service.json"
 GATE_MIN_SPEEDUP = 2.0
 
 CASE_SCALE, CASE_EDGE = 13, 8
-PAIRS = [("msa", "msa-native"), ("hash", "hash-native")]
+KEYS = ("msa", "hash")
 REPEATS = 5
 WARMUP = 2
 THREAD_WORKERS = (1, 2, 4)
@@ -114,8 +119,9 @@ def bench_native(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     # audit the fused baseline against the reference tier once, where the
     # pure-Python tier is affordable
     sL, smask = _workload(scale=8, edge=4)
-    small_fused = masked_spgemm(sL, sL, smask, algorithm="msa",
-                                semiring=PLUS_PAIR, phases=2)
+    with fused_only():
+        small_fused = masked_spgemm(sL, sL, smask, algorithm="msa",
+                                    semiring=PLUS_PAIR, phases=2)
     small_ref = reference_masked_spgemm(sL, sL, smask, algorithm="msa",
                                         semiring=PLUS_PAIR)
     assert small_fused.same_pattern(small_ref) and \
@@ -123,23 +129,20 @@ def bench_native(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
         "fused baseline diverged from the reference tier"
 
     rows, gates = [], []
-    for fused_key, native_key in PAIRS:
-        fused_plan = build_plan(L, L, mask, algorithm=fused_key, phases=2)
-        native_plan = build_plan(L, L, mask, algorithm=native_key, phases=2)
-        fused_lat, baseline = _time(
-            lambda: masked_spgemm(L, L, mask, algorithm=fused_key,
-                                  semiring=PLUS_PAIR, phases=2,
-                                  plan=fused_plan),
-            None, repeats=repeats)
-        native_lat, _ = _time(
-            lambda: masked_spgemm(L, L, mask, algorithm=native_key,
-                                  semiring=PLUS_PAIR, phases=2,
-                                  plan=native_plan),
-            baseline, repeats=repeats)
-        rows.append(_row(case, fused_key, fused_lat))
-        rows.append(_row(case, native_key, native_lat))
+    for key in KEYS:
+        plan = build_plan(L, L, mask, algorithm=key, phases=2)
+
+        def run():
+            return masked_spgemm(L, L, mask, algorithm=key,
+                                 semiring=PLUS_PAIR, phases=2, plan=plan)
+
+        with fused_only():
+            fused_lat, baseline = _time(run, None, repeats=repeats)
+        native_lat, _ = _time(run, baseline, repeats=repeats)
+        rows.append(_row(case, key, fused_lat, tier="fused"))
+        rows.append(_row(case, key, native_lat, tier="native"))
         speedup = float(np.mean(fused_lat) / np.mean(native_lat))
-        gates.append({"case": case, "algorithm": native_key,
+        gates.append({"case": case, "algorithm": key,
                       "mode": "native-gate",
                       "backend": native_backend_name(),
                       "fused_mean_ms": float(np.mean(fused_lat)) * 1e3,
@@ -154,7 +157,7 @@ def bench_threads(scale=CASE_SCALE, edge=CASE_EDGE, *, repeats=REPEATS):
     """Thread backend vs inprocess and sharded serving (informational)."""
     L, mask = _workload(scale, edge)
     case = _case_name(scale, edge)
-    alg = "msa-native" if native_available() else "msa"
+    alg = "msa"
     plan = build_plan(L, L, mask, algorithm=alg, phases=2)
 
     inproc_lat, baseline = _time(
@@ -208,9 +211,9 @@ def main() -> None:
          f"e={CASE_EDGE}), PLUS_PAIR, 2P, warm plans\n")
 
     rows, gates = bench_native()
-    table = [[r["case"], r["algorithm"], r["repeats"], r["mean_ms"],
-              r["p50_ms"], r["p95_ms"]] for r in rows]
-    emit(render_table(["case", "algorithm", "reps", "mean (ms)",
+    table = [[r["case"], r["algorithm"], r["tier"], r["repeats"],
+              r["mean_ms"], r["p50_ms"], r["p95_ms"]] for r in rows]
+    emit(render_table(["case", "algorithm", "tier", "reps", "mean (ms)",
                        "p50 (ms)", "p95 (ms)"], table))
     emit(f"\n[Native] gate: native vs fused (≥{GATE_MIN_SPEEDUP}x each)")
     emit(render_table(
@@ -264,11 +267,11 @@ def test_native_warm_product(benchmark):
     if not native_available():
         pytest.skip("no compiled backend on this runner")
     L, mask = _workload(scale=8, edge=4)
-    plan = build_plan(L, L, mask, algorithm="msa-native", phases=2)
-    want = masked_spgemm(L, L, mask, algorithm="msa", semiring=PLUS_PAIR,
-                         phases=2)
-    got = benchmark(lambda: masked_spgemm(L, L, mask,
-                                          algorithm="msa-native",
+    plan = build_plan(L, L, mask, algorithm="msa", phases=2)
+    with fused_only():
+        want = masked_spgemm(L, L, mask, algorithm="msa",
+                             semiring=PLUS_PAIR, phases=2)
+    got = benchmark(lambda: masked_spgemm(L, L, mask, algorithm="msa",
                                           semiring=PLUS_PAIR, phases=2,
                                           plan=plan))
     assert got.same_pattern(want) and np.array_equal(got.data, want.data)

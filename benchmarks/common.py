@@ -59,7 +59,9 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 from repro import Mask, PLUS_PAIR
 from repro.bench import GridResult, run_grid, time_callable
@@ -136,6 +138,17 @@ def rmat_tc_workloads(scales, edge_factor=8, seed_base=7000):
         L, mask = tc_workload(g)
         out.append((s, L, mask, spgemm_flops(L, L)))
     return out
+
+
+@contextmanager
+def fused_only():
+    """Withhold the compiled backend for the block: ``msa``/``hash``
+    delegate to their fused NumPy kernels, as on a machine without one
+    (the code path ``REPRO_NATIVE=off`` serves)."""
+    from repro.native import kernels
+
+    with mock.patch.object(kernels, "_backend", return_value=None):
+        yield
 
 
 def emit(text: str) -> None:

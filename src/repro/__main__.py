@@ -399,8 +399,8 @@ def _check_smoke(engine, server, responses, args, obs=None,
               f"requests ran on the {engine.shards.nshards}-worker pool")
     tiers = engine.stats.kernel_tiers
     if tiers:
-        # which kernel tier actually served the numeric passes — a degraded
-        # run shows fused/loop counts here even though plans named native
+        # which kernel tier actually served the numeric passes — fused
+        # fallbacks and degraded requests count as fused/loop here
         print("smoke kernel tiers: "
               + ", ".join(f"{t}={c}" for t, c in tiers.items()))
 

@@ -90,6 +90,9 @@ def betweenness_centrality(
     sources : batch of source vertex ids; ``None`` = all vertices (exact BC).
     algorithm : masked kernel for both stages; must support complemented
         masks (msa/hash/heap/heapdot — MCA raises, matching the paper).
+        The default ``msa`` runs the compiled row loop when a native
+        backend is available (:mod:`repro.native`), the fused kernel
+        otherwise.
     undirected : divide scores by 2 (each shortest path counted from both
         endpoints). Default: auto-detect pattern symmetry.
 

@@ -68,7 +68,9 @@ def ktruss(g: CSRMatrix, k: int, *, algorithm: str = "msa", phases: int = 1,
     g : adjacency pattern (symmetrized/cleaned unless ``prepared=True``).
     k : truss order (k ≥ 2; the paper benchmarks k=5). k=2 returns the
         input (every edge is trivially in 0 ≥ 0 triangles).
-    algorithm, phases, executor : forwarded to every masked product.
+    algorithm, phases, executor : forwarded to every masked product; the
+        default ``msa`` runs the compiled row loop when a native backend
+        is available (:mod:`repro.native`), the fused kernel otherwise.
     engine : optional :class:`repro.service.Engine` whose plan cache is
         shared across calls (repeated queries on the same graph reuse every
         iteration's plan). A private engine is created when omitted; when an

@@ -38,7 +38,10 @@ def triangle_count(g: CSRMatrix, *, algorithm: str = "msa", phases: int = 1,
     g : adjacency pattern; symmetrized/cleaned automatically unless
         ``prepared=True``, in which case ``g`` must already be the
         degree-sorted strictly-lower-triangular ``L``.
-    algorithm, phases, executor : forwarded to :func:`masked_spgemm`.
+    algorithm, phases, executor : forwarded to :func:`masked_spgemm`;
+        the default ``msa`` runs the compiled row loop when a native
+        backend is available (:mod:`repro.native`), the fused kernel
+        otherwise.
     """
     L = g if prepared else triangle_prep(g)
     C = triangle_count_matrix(L, algorithm=algorithm, phases=phases,

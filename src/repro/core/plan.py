@@ -78,8 +78,11 @@ class SymbolicPlan:
     def from_record(cls, meta: dict,
                     row_sizes: np.ndarray | None) -> "SymbolicPlan":
         """Rebuild a plan persisted via :meth:`to_record`, re-validating the
-        invariants serialization cannot enforce (a 2P plan must carry row
-        sizes matching its output row count)."""
+        invariants serialization cannot enforce: the kernel key must be
+        registered (an older store may name a removed one, which would fail
+        every matching request), and a 2P plan must carry row sizes
+        matching its output row count."""
+        algorithm = registry.get_spec(str(meta["algorithm"])).key
         phases = int(meta["phases"])
         shape = (int(meta["shape"][0]), int(meta["shape"][1]))
         if phases == 2:
@@ -92,8 +95,8 @@ class SymbolicPlan:
             row_sizes = np.ascontiguousarray(row_sizes, dtype=INDEX_DTYPE)
         else:
             row_sizes = None
-        return cls(algorithm=str(meta["algorithm"]), phases=phases,
-                   shape=shape, row_sizes=row_sizes)
+        return cls(algorithm=algorithm, phases=phases, shape=shape,
+                   row_sizes=row_sizes)
 
 
 def build_plan(A: CSRMatrix, B: CSRMatrix, mask: Mask, *,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import AlgorithmError
+from ..native import kernels as native_kernels, native_available
 from . import (
     esc_kernel,
     hash_kernel,
@@ -53,10 +54,11 @@ class AlgorithmSpec:
 _SPECS: dict[str, AlgorithmSpec] = {
     "msa": AlgorithmSpec(
         "msa", "MSA", "push",
-        msa_kernel.numeric_rows, msa_kernel.symbolic_rows, True,
-        "Masked Sparse Accumulator (paper §5.2), chunk-fused: one batched "
-        "mask test + scatter per chunk (np.bincount fast path for +)",
-        numeric_into=msa_kernel.numeric_rows_into,
+        native_kernels.msa_numeric_rows, msa_kernel.symbolic_rows, True,
+        "Masked Sparse Accumulator (paper §5.2): the compiled three-state "
+        "row loop when a native backend serves the call, else chunk-fused "
+        "numpy (one batched mask test + scatter per chunk)",
+        numeric_into=native_kernels.msa_numeric_rows_into,
     ),
     "esc": AlgorithmSpec(
         "esc", "ESC", "push",
@@ -67,10 +69,11 @@ _SPECS: dict[str, AlgorithmSpec] = {
     ),
     "hash": AlgorithmSpec(
         "hash", "Hash", "push",
-        hash_kernel.numeric_rows, hash_kernel.symbolic_rows, True,
-        "Open-addressing hash accumulator, LF 0.25 (paper §5.3), chunk-fused: "
-        "the probe loop batches across all rows via per-row table offsets",
-        numeric_into=hash_kernel.numeric_rows_into,
+        native_kernels.hash_numeric_rows, hash_kernel.symbolic_rows, True,
+        "Open-addressing hash accumulator, LF 0.25 (paper §5.3): the "
+        "compiled per-row table loop when a native backend serves the call, "
+        "else chunk-fused numpy (probe loop batched across all rows)",
+        numeric_into=native_kernels.hash_numeric_rows_into,
     ),
     "mca": AlgorithmSpec(
         "mca", "MCA", "push",
@@ -103,73 +106,13 @@ _SPECS: dict[str, AlgorithmSpec] = {
     "msa-loop": AlgorithmSpec(
         "msa-loop", "MSA(loop)", "push",
         msa_kernel.numeric_rows_loop, msa_kernel.symbolic_rows, True,
-        "Per-row MSA loop (paper Alg. 2 verbatim): the routing tier "
-        "auto_select picks for long-row mask-reuse regimes where the fused "
-        "kernels' chunk-wide intermediates outgrow cache",
+        "Per-row MSA loop (paper Alg. 2 verbatim): auto_select's pick for "
+        "long-row mask-reuse regimes when no native backend is available "
+        "(fused intermediates outgrow cache), and the last degrade rung",
         listed=False,
     ),
 }
 
-
-def _native_entry(fn_name: str) -> Callable:
-    """Late-bound reference into :mod:`repro.native.kernels` — the native
-    package imports kernel modules from this package, so binding at call
-    time (instead of importing it here) keeps the import graph acyclic
-    regardless of which module loads first. The wrapper never probes: the
-    native faces themselves delegate to the fused kernels when the
-    compiled tier is unavailable."""
-    def call(*args, **kwargs):
-        from ..native import kernels as native_kernels
-
-        return getattr(native_kernels, fn_name)(*args, **kwargs)
-
-    call.__name__ = fn_name
-    return call
-
-
-#: the compiled tier (repro.native): execution strategies of msa/hash, not
-#: new algorithms — listed=False like msa-loop, resolvable + plan-able, and
-#: self-delegating to the fused kernels when no backend compiled
-_SPECS["msa-native"] = AlgorithmSpec(
-    "msa-native", "MSA(native)", "push",
-    _native_entry("msa_numeric_rows"), msa_kernel.symbolic_rows, True,
-    "Compiled (numba-JIT or cffi/C) three-state MSA accumulator loop with "
-    "nogil chunk calls; auto_select routes msa/msa-loop regimes here when "
-    "a native backend probes available, and the faces delegate to the "
-    "fused numpy kernel when it does not",
-    numeric_into=_native_entry("msa_numeric_rows_into"),
-    listed=False,
-)
-_SPECS["hash-native"] = AlgorithmSpec(
-    "hash-native", "Hash(native)", "push",
-    _native_entry("hash_numeric_rows"), hash_kernel.symbolic_rows, True,
-    "Compiled (numba-JIT or cffi/C) open-addressing hash accumulator "
-    "(LF 0.25, Fibonacci slots) with nogil chunk calls; the wide-output "
-    "counterpart of msa-native, same fallback contract",
-    numeric_into=_native_entry("hash_numeric_rows_into"),
-    listed=False,
-)
-
-
-#: base kernel behind each native routing key (degrade ladder + display)
-NATIVE_BASE = {"msa-native": "msa", "hash-native": "hash"}
-
-#: native routing key for each base kernel auto_select may pick. msa-loop
-#: maps to msa-native too: the compiled loop *is* the per-row dense
-#: accumulator that tier exists for, minus the interpreter overhead.
-_NATIVE_VARIANT = {"msa": "msa-native", "hash": "hash-native",
-                   "msa-loop": "msa-native"}
-
-
-def native_variant(key: str) -> str:
-    """The compiled routing key for ``key`` when the native tier is
-    available on this machine, else ``key`` unchanged."""
-    mapped = _NATIVE_VARIANT.get(key.lower())
-    if mapped is None:
-        return key
-    from .. import native
-
-    return mapped if native.native_available() else key
 
 #: Baselines are dispatched separately (they are whole-matrix functions, not
 #: row kernels) but listed so harnesses can enumerate everything.
@@ -252,12 +195,10 @@ def auto_select(A, B, mask, *, plan_free: bool = False) -> str:
     * comparable densities → ``msa`` on small outputs (dense arrays cheap),
       ``hash`` on large ones (MSA's cache penalty grows with ncols).
 
-    When the compiled tier (:mod:`repro.native`) probes available, the
-    ``msa`` / ``hash`` / ``msa-loop`` picks route to their ``*-native``
-    variants via :func:`native_variant` — same products bit-identically,
-    minus the numpy dispatch overhead (msa-loop folds into msa-native:
-    the compiled loop is that tier's per-row accumulator without the
-    interpreter cost).
+    ``msa`` and ``hash`` run the compiled row loops (:mod:`repro.native`)
+    whenever a backend can serve the call, so the long-row branch only
+    needs ``msa-loop`` when no backend probed available: the compiled msa
+    *is* that tier's per-row accumulator without the interpreter cost.
 
     This hybrid dispatcher is the paper's "future work" hybrid in its
     simplest form.
@@ -277,7 +218,7 @@ def auto_select(A, B, mask, *, plan_free: bool = False) -> str:
     if mask.complemented:
         if flops_per_row <= ESC_FLOPS_CUTOFF:
             return "esc"
-        return native_variant("msa" if B.ncols <= msa_cutoff else "hash")
+        return "msa" if B.ncols <= msa_cutoff else "hash"
     d_m = mask.nnz / max(mask.nrows, 1)
     if d_m * 4 <= d_in:
         return "inner"
@@ -288,5 +229,5 @@ def auto_select(A, B, mask, *, plan_free: bool = False) -> str:
     if (not plan_free and d_m * 2 >= d_in
             and nrows * flops_per_row >= LOOP_FLOPS_FLOOR
             and B.ncols <= msa_cutoff):
-        return native_variant("msa-loop")
-    return native_variant("msa" if B.ncols <= msa_cutoff else "hash")
+        return "msa" if native_available() else "msa-loop"
+    return "msa" if B.ncols <= msa_cutoff else "hash"

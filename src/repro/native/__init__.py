@@ -2,9 +2,10 @@
 
 The fused numpy kernels (PRs 2+4) are bound by numpy dispatch overhead, not
 memory traffic; this package supplies the tight compiled inner loops the
-paper's C++ numbers imply, behind the existing kernel registry as the
-``msa-native`` / ``hash-native`` routing tiers (``listed=False`` — execution
-strategies of msa/hash, not new algorithms).
+paper's C++ numbers imply. They are not separate registry keys: the
+``msa`` / ``hash`` specs point at the faces in :mod:`repro.native.kernels`,
+which run the compiled loop when it can serve the call and the fused numpy
+kernel otherwise.
 
 Backend ladder, probed lazily and memoized (à la
 :func:`repro.shard.memory.shared_memory_available`):
@@ -16,8 +17,8 @@ Backend ladder, probed lazily and memoized (à la
    from embedded C source with whatever C compiler is on PATH, loaded
    ABI-mode; covers boxes with a toolchain but no numba;
 3. **unavailable** — every native entry point delegates to the fused numpy
-   kernels, ``native_available()`` is False, ``auto_select`` keeps routing
-   to the fused keys, and nothing anywhere needs a guard.
+   kernels, ``native_available()`` is False, ``auto_select`` routes the
+   long-row regime to ``msa-loop``, and nothing anywhere needs a guard.
 
 A backend only becomes *the* backend after passing a bit-identity self-test
 against the fused kernels on tiny fixtures (probing doubles as JIT warmup,

@@ -1,9 +1,8 @@
 """Protocol faces of the compiled kernel tier.
 
 These wrap whichever backend the probe ladder resolved (numba JIT or
-cffi/C — see the package docstring) behind the repo-wide kernel protocol,
-so the registry specs ``msa-native`` / ``hash-native`` are just another
-pair of kernels:
+cffi/C — see the package docstring) behind the repo-wide kernel protocol.
+They *are* the registry's ``msa`` / ``hash`` numeric entry points:
 
 ``msa_numeric_rows`` / ``hash_numeric_rows``
     stitch face — compute requested rows compactly and return a RowBlock;
@@ -13,22 +12,23 @@ pair of kernels:
     as :func:`repro.core.types.write_block_into`).
 
 Every face **delegates to the fused numpy kernel** when the compiled tier
-cannot serve the call — backend unavailable, a semiring outside the
+cannot serve the call; :func:`delegation_reason` is the one guard that
+decides, and names why (backend unavailable, a semiring outside the
 compiled op table, non-float64/int64 operands, or an MSA output too wide
-for the dense accumulator scratch. The fused kernels are bit-identical to
+for the dense accumulator scratch). The fused kernels are bit-identical to
 the compiled loops by construction (gated in ``tests/test_native.py`` and
 ``benchmarks/bench_native.py``), so delegation is invisible to callers:
-the native keys always compute the same product, merely slower.
+``msa`` and ``hash`` always compute the same product, merely slower.
 
 The symbolic pass is pattern-only and kernel-independent; the registry
-points the native specs at the fused symbolic functions directly.
+points the specs at the fused symbolic functions directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AlgorithmError
+from ..errors import AlgorithmError, FormatError
 from ..validation import INDEX_DTYPE
 
 #: widest MSA output the dense accumulator scratch is worth allocating for;
@@ -74,16 +74,65 @@ def op_codes(semiring) -> tuple[int, int, float] | None:
     return add, mul, float(semiring.add.identity)
 
 
-def supported(semiring) -> bool:
-    """True when the compiled tier can execute this semiring itself."""
-    return op_codes(semiring) is not None
-
-
 def _backend():
     from . import native_backend
 
     b = native_backend()
     return None if b is None else b[1]
+
+
+#: registry keys whose numeric faces live in this module
+COMPILED_KEYS = ("msa", "hash")
+
+
+def _route(A, B, mask, semiring, algorithm):
+    """``(reason, backend, op codes)``: reason None means the compiled loop
+    serves the call with that backend and those codes."""
+    be = _backend()
+    if be is None:
+        return "unavailable", None, None
+    codes = op_codes(semiring)
+    if codes is None:
+        return "semiring", None, None
+    if not _compilable(A, B, mask):
+        return "dtype", None, None
+    if algorithm == "msa" and B.ncols > MSA_NCOLS_CAP:
+        return "ncols", None, None
+    return None, be, codes
+
+
+def delegation_reason(A, B, mask, semiring, algorithm: str):
+    """Why the compiled ``algorithm`` (``"msa"`` or ``"hash"``) loop cannot
+    serve this call — ``"unavailable"`` (no backend), ``"semiring"``,
+    ``"dtype"`` or ``"ncols"`` (msa only) — or None when it can. The faces
+    below delegate to the fused kernel exactly when this is not None, so
+    callers (the engine's tier stamp, the runner's chunk sizing) can tell
+    which tier will run before it runs."""
+    return _route(A, B, mask, semiring, algorithm)[0]
+
+
+def _check_operands(A, B, mask, rows) -> None:
+    """Bounds the compiled loops index by raw pointer, for operands built
+    with ``check=False`` (the fused kernels fail on such input with a numpy
+    IndexError; a C loop would read out of bounds instead). B is checked
+    whole, since any of its rows may be reached; A and the mask only over
+    the span of ``rows`` — O(nnz(B) + this call's rows)."""
+    lo, hi = int(rows.min()), int(rows.max())
+    if lo < 0 or hi >= A.nrows or hi >= mask.nrows:
+        raise FormatError(f"rows [{lo}, {hi}] out of range for the operands")
+    for name, m, first, last, ncols in (
+            ("A", A, lo, hi + 1, B.nrows), ("mask", mask, lo, hi + 1, B.ncols),
+            ("B", B, 0, B.nrows, B.ncols)):
+        p = m.indptr[first:last + 1]
+        if (m.indptr.size <= last or p[0] < 0
+                or p[-1] > m.indices.size or (p[1:] < p[:-1]).any()):
+            raise FormatError(f"{name}: row pointers out of bounds")
+        ids = m.indices[p[0]:p[-1]]
+        # one reduction: negative ids wrap to huge unsigned values
+        if ids.size and ids.view(np.uint64).max() >= ncols:
+            raise FormatError(f"{name}: column ids out of range")
+        if name != "mask" and m.data.size < p[-1]:
+            raise FormatError(f"{name}: fewer values than column ids")
 
 
 def _compilable(A, B, mask) -> bool:
@@ -138,49 +187,16 @@ def _msa_call(be, A, B, mask, rows, codes, offsets, validate,
 
 def msa_numeric_rows(A, B, mask, semiring, rows):
     from ..core import msa_kernel
-    from ..core.types import RowBlock, empty_block
 
-    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-    be, codes = _backend(), op_codes(semiring)
-    if (be is None or codes is None or not _compilable(A, B, mask)
-            or B.ncols > MSA_NCOLS_CAP):
-        return msa_kernel.numeric_rows(A, B, mask, semiring, rows)
-    if rows.size == 0:
-        return empty_block(0)
-    if mask.complemented:
-        _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
-        bound = int(per_row_bound.sum())
-    else:
-        bound = int((mask.indptr[rows + 1] - mask.indptr[rows]).sum())
-    offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
-    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
-    out_vals = np.empty(bound, dtype=np.float64)
-    _msa_call(be, A, B, mask, rows, codes, offsets, 0, out_cols, out_vals)
-    total = int(offsets[-1])
-    return RowBlock(np.diff(offsets), out_cols[:total], out_vals[:total])
+    return _stitch("msa", msa_kernel, _msa_call, A, B, mask, semiring, rows)
 
 
 def msa_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
                           offsets):
     from ..core import msa_kernel
 
-    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-    be, codes = _backend(), op_codes(semiring)
-    if (be is None or codes is None or not _compilable(A, B, mask)
-            or B.ncols > MSA_NCOLS_CAP):
-        return msa_kernel.numeric_rows_into(A, B, mask, semiring, rows,
-                                            out_cols, out_vals, offsets)
-    if rows.size == 0:
-        return
-    offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
-    bad = _msa_call(be, A, B, mask, rows, codes, offsets, 1,
-                    out_cols, out_vals)
-    if bad >= 0:
-        raise AlgorithmError(
-            "msa-native: computed row sizes differ from the planned offsets "
-            "— stale plan (operand patterns changed since the symbolic "
-            "pass) or kernel divergence"
-        )
+    _into("msa", msa_kernel, _msa_call, A, B, mask, semiring, rows,
+          out_cols, out_vals, offsets)
 
 
 # --------------------------------------------------------------------- #
@@ -213,47 +229,66 @@ def _hash_call(be, A, B, mask, rows, codes, offsets, validate,
 
 def hash_numeric_rows(A, B, mask, semiring, rows):
     from ..core import hash_kernel
-    from ..core.types import RowBlock, empty_block
 
-    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-    be, codes = _backend(), op_codes(semiring)
-    if be is None or codes is None or not _compilable(A, B, mask):
-        return hash_kernel.numeric_rows(A, B, mask, semiring, rows)
-    if rows.size == 0:
-        return empty_block(0)
-    if mask.complemented:
-        _, per_row_bound, _ = _compl_bounds(A, B, mask, rows)
-        bound = int(per_row_bound.sum())
-    else:
-        bound = int((mask.indptr[rows + 1] - mask.indptr[rows]).sum())
-    offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
-    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
-    out_vals = np.empty(bound, dtype=np.float64)
-    _hash_call(be, A, B, mask, rows, codes, offsets, 0, out_cols, out_vals)
-    total = int(offsets[-1])
-    return RowBlock(np.diff(offsets), out_cols[:total], out_vals[:total])
+    return _stitch("hash", hash_kernel, _hash_call, A, B, mask, semiring,
+                   rows)
 
 
 def hash_numeric_rows_into(A, B, mask, semiring, rows, out_cols, out_vals,
                            offsets):
     from ..core import hash_kernel
 
+    _into("hash", hash_kernel, _hash_call, A, B, mask, semiring, rows,
+          out_cols, out_vals, offsets)
+
+
+# --------------------------------------------------------------------- #
+# the two protocol faces, shared by both accumulators
+# --------------------------------------------------------------------- #
+def _stitch(algorithm, fused, call, A, B, mask, semiring, rows):
+    """Stitch face: compute ``rows`` compactly into a RowBlock with the
+    compiled ``call``, or hand them to the ``fused`` kernel module."""
+    from ..core.types import RowBlock, empty_block
+
     rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
-    be, codes = _backend(), op_codes(semiring)
-    if be is None or codes is None or not _compilable(A, B, mask):
-        return hash_kernel.numeric_rows_into(A, B, mask, semiring, rows,
-                                             out_cols, out_vals, offsets)
+    reason, be, codes = _route(A, B, mask, semiring, algorithm)
+    if reason is not None:
+        return fused.numeric_rows(A, B, mask, semiring, rows)
+    if rows.size == 0:
+        return empty_block(0)
+    _check_operands(A, B, mask, rows)
+    if mask.complemented:
+        bound = int(_compl_bounds(A, B, mask, rows)[1].sum())
+    else:
+        bound = int((mask.indptr[rows + 1] - mask.indptr[rows]).sum())
+    offsets = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
+    out_cols = np.empty(bound, dtype=INDEX_DTYPE)
+    out_vals = np.empty(bound, dtype=np.float64)
+    call(be, A, B, mask, rows, codes, offsets, 0, out_cols, out_vals)
+    total = int(offsets[-1])
+    return RowBlock(np.diff(offsets), out_cols[:total], out_vals[:total])
+
+
+def _into(algorithm, fused, call, A, B, mask, semiring, rows, out_cols,
+          out_vals, offsets):
+    """Direct-write face: scatter ``rows`` at the planned ``offsets``,
+    validating computed sizes first, or hand them to the ``fused`` kernel
+    module."""
+    rows = np.ascontiguousarray(rows, dtype=INDEX_DTYPE)
+    reason, be, codes = _route(A, B, mask, semiring, algorithm)
+    if reason is not None:
+        return fused.numeric_rows_into(A, B, mask, semiring, rows,
+                                       out_cols, out_vals, offsets)
     if rows.size == 0:
         return
+    _check_operands(A, B, mask, rows)
     offsets = np.ascontiguousarray(offsets, dtype=INDEX_DTYPE)
-    bad = _hash_call(be, A, B, mask, rows, codes, offsets, 1,
-                     out_cols, out_vals)
-    if bad >= 0:
+    if call(be, A, B, mask, rows, codes, offsets, 1, out_cols,
+            out_vals) >= 0:
         raise AlgorithmError(
-            "hash-native: computed row sizes differ from the planned "
-            "offsets — stale plan (operand patterns changed since the "
-            "symbolic pass) or kernel divergence"
-        )
+            f"{algorithm} (native): computed row sizes differ from the "
+            f"planned offsets — stale plan (operand patterns changed since "
+            f"the symbolic pass) or kernel divergence")
 
 
 # --------------------------------------------------------------------- #

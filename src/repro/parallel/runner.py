@@ -48,6 +48,7 @@ from ..validation import INDEX_DTYPE, check_multiplicable
 from ..core import registry
 from ..core.plan import SymbolicPlan
 from ..core.types import stitch_blocks
+from ..native import kernels as native_kernels
 from .executor import ProcessExecutor, ThreadExecutor
 from .partition import (
     NATIVE_BYTES_PER_FLOP,
@@ -166,16 +167,16 @@ def parallel_masked_spgemm(
     whose workers scatter into a shared-memory output CSR (``executor``'s
     ``nworkers`` sizes the pool; the executor itself is not used) — or
     ``"thread"``: the compiled-tier successor to process shards. The thread
-    backend rewrites the algorithm to its native variant (when the
-    :mod:`repro.native` probe passes), runs on a
-    :class:`~repro.parallel.executor.ThreadExecutor` (``executor`` when it
-    is one, else a transient pool sized to the machine), and scatters
-    chunks straight into the preallocated CSR slices — the compiled kernels
-    release the GIL for the whole chunk call, so this gets real parallelism
-    with no processes and no shared-memory segments. Ineligible requests
-    degrade back to the local path inside the shard layer, and the thread
-    backend without a native backend is simply the local thread-pool path,
-    so results are identical for every backend.
+    backend runs on a :class:`~repro.parallel.executor.ThreadExecutor`
+    (``executor`` when it is one, else a transient pool sized to the
+    machine) and scatters chunks straight into the preallocated CSR slices
+    — ``msa``/``hash`` run the compiled loops whenever a
+    :mod:`repro.native` backend serves the call, and those release the GIL
+    for the whole chunk call, so this gets real parallelism with no
+    processes and no shared-memory segments. Ineligible requests degrade
+    back to the local path inside the shard layer, and the thread backend
+    without a native backend is simply the local thread-pool path, so
+    results are identical for every backend.
     """
     if backend not in ("local", "shard", "thread"):
         raise AlgorithmError(
@@ -190,7 +191,7 @@ def parallel_masked_spgemm(
             own = executor = ThreadExecutor(max(int(nworkers), 1))
         try:
             return parallel_masked_spgemm(
-                A, B, mask, algorithm=registry.native_variant(algorithm),
+                A, B, mask, algorithm=algorithm,
                 semiring=semiring, phases=phases, executor=executor,
                 nchunks=nchunks, plan=plan, plan_sink=plan_sink,
                 direct_write=direct_write, backend="local")
@@ -220,7 +221,10 @@ def parallel_masked_spgemm(
         # the fused pipeline, so native chunks carry 3x the flops for the
         # same cache share (fewer dispatches, same residency)
         budget = (chunk_budget(bytes_per_flop=NATIVE_BYTES_PER_FLOP)
-                  if spec.key.endswith("-native") else None)
+                  if spec.key in native_kernels.COMPILED_KEYS
+                  and native_kernels.delegation_reason(
+                      A, B, mask, semiring, spec.key) is None
+                  else None)
         nchunks = budget_chunk_count(weights, executor.nworkers, budget)
     chunks = balanced_partition(weights, nchunks)
     if not chunks:

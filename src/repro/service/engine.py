@@ -53,9 +53,9 @@ from ..core import masked_spgemm
 from ..core.plan import SymbolicPlan, build_plan, splice_plan
 from ..delta import DeltaBatch, DeltaOutcome
 from ..errors import AlgorithmError, ShapeError
-from ..core.registry import BASELINE_KEYS, NATIVE_BASE
+from ..core.registry import BASELINE_KEYS
 from ..mask import Mask
-from ..native import warmup as native_warmup
+from ..native import kernels as native_kernels, warmup as native_warmup
 from ..obs import FlightRecorder, MetricsRegistry, SLOEvaluator, Tracer, span
 from ..obs.metrics import CHUNK_BUCKETS, chunk_observer
 from ..resilience import (CircuitBreaker, DeadlineExceeded, FaultPlan,
@@ -79,22 +79,24 @@ from .store import MatrixStore, StoreError
 KERNEL_TIERS = ("native", "fused", "loop", "baseline")
 
 
-def kernel_tier(algorithm: str) -> str:
-    """Map a resolved kernel key to the coarse execution tier it runs on:
-    ``native`` (compiled msa-native/hash-native), ``loop`` (the per-row
-    reference rung), ``baseline`` (whole-matrix baselines), else ``fused``
-    (the vectorised numpy kernels). The engine stamps the tier of the
-    kernel that *actually executed* — not the one the plan named — onto
-    each request, so degraded-to-fused traffic is distinguishable in
-    ``repro_kernel_requests_total`` and the ``serve --smoke`` report."""
+def kernel_tier(algorithm: str, A, B, mask,
+                semiring) -> tuple[str, str | None]:
+    """``(tier, delegation reason)`` a resolved kernel key runs at for these
+    operands: ``msa``/``hash`` are ``native`` only when the compiled loop
+    serves the call (:func:`repro.native.kernels.delegation_reason` is
+    None), else ``fused`` with the reason; ``loop`` is the per-row rung,
+    ``baseline`` the whole-matrix baselines, every other kernel ``fused``.
+    The engine stamps the tier that *actually executed* onto each request
+    (``repro_kernel_requests_total``, the ``serve --smoke`` report)."""
     key = algorithm.lower()
-    if key.endswith("-native"):
-        return "native"
+    if key in native_kernels.COMPILED_KEYS:
+        reason = native_kernels.delegation_reason(A, B, mask, semiring, key)
+        return ("fused", reason) if reason else ("native", None)
     if key.endswith("-loop"):
-        return "loop"
+        return "loop", None
     if key in BASELINE_KEYS:
-        return "baseline"
-    return "fused"
+        return "baseline", None
+    return "fused", None
 
 
 class EngineStats:
@@ -277,7 +279,7 @@ class Engine:
     retry : :class:`~repro.resilience.RetryPolicy` for the shard tier
         (bounded attempts + seeded exponential backoff; the default policy
         retries once). Failed attempts degrade down the tier ladder —
-        shards → in-process fused → per-row loop kernels — every rung
+        shards → in-process kernels → per-row loop kernel — every rung
         bit-identical.
     breaker : :class:`~repro.resilience.CircuitBreaker` guarding the shard
         tier: after N consecutive pool failures requests route straight to
@@ -395,6 +397,11 @@ class Engine:
             "repro_delta_stale_total",
             "late result-cache writebacks refused by the store-version "
             "guard (a delta landed while the request executed)")
+        self._native_delegations = self.metrics.counter(
+            "repro_native_delegations_total",
+            "msa/hash numeric passes the compiled tier handed to the fused "
+            "kernel, by reason (unavailable/semiring/dtype/ncols)",
+            labels=("reason",))
         # resolve + compile the native kernel tier off the request path
         # (memoized: only the first engine in a process pays the JIT/cc
         # cost) and record it — done *before* the shard pool forks so the
@@ -1022,9 +1029,9 @@ class Engine:
         return build_plan(A, B, mask, algorithm=algorithm, phases=phases)
 
     # ------------------------------------------------------------------ #
-    # the numeric tier ladder: shards → in-process fused → loop kernels
+    # the numeric tier ladder: shards → in-process → loop kernels
     # ------------------------------------------------------------------ #
-    def _shard_tier(self, request, mask, plan, semiring, key, stats,
+    def _shard_tier(self, request, A, B, mask, plan, semiring, key, stats,
                     deadline) -> CSRMatrix | None:
         """Attempt the shard tier, retrying per :attr:`retry`; ``None``
         means the caller should degrade to the in-process tier.
@@ -1057,7 +1064,7 @@ class Engine:
                     self._retries.inc(tier="shard", outcome="success")
                 stats.sharded = True
                 stats.direct_write = True
-                stats.kernel_tier = kernel_tier(plan.algorithm)
+                self._stamp_tier(stats, plan.algorithm, A, B, mask, semiring)
                 return result
             except DeadlineExceeded:
                 raise
@@ -1102,23 +1109,32 @@ class Engine:
                           error=type(exc).__name__):
                     self.retry.sleep(attempt - 1)
 
+    def _stamp_tier(self, stats, algorithm, A, B, mask, semiring) -> None:
+        """Stamp the tier that serves this numeric pass onto ``stats``,
+        counting an msa/hash fused fallback under its delegation reason."""
+        tier, reason = kernel_tier(algorithm, A, B, mask, semiring)
+        if reason is not None:
+            self._native_delegations.inc(reason=reason)
+        if stats is not None:
+            stats.kernel_tier = tier
+
     def _inprocess_tiers(self, A, B, mask, plan, algorithm, phases,
                          semiring, deadline, stats=None) -> CSRMatrix:
-        """Tier 2 (in-process kernels: compiled native, then fused numpy),
-        with tier 3 (per-row ``msa-loop``) as the last rung.
+        """Tier 2 (in-process kernels) with tier 3 (per-row ``msa-loop``)
+        as the last rung.
 
         The ladder exists because a cached :class:`SymbolicPlan`'s row
         sizes are *kernel-independent*: relabelling the plan replays the
         same masked product through a simpler kernel with the warm symbolic
-        work intact — bit-identical output at every rung. A native-routed
-        plan (``msa-native``/``hash-native``) first falls back to its fused
-        base kernel (:data:`~repro.core.registry.NATIVE_BASE`), then the
-        loop rung; the ``engine.kernel`` fault site is re-checked per rung
-        so chaos can kill exactly one. Only deliberate injections
-        (:class:`InjectedFault`) and memory pressure degrade here; genuine
-        kernel bugs stay loud, because silently papering over them would
-        hide miscompares, not failures. The tier that actually executed is
-        stamped onto ``stats.kernel_tier``.
+        work intact — bit-identical output at every rung. There is no
+        native→fused rung: the fused kernels keep larger chunk-wide
+        intermediates, so they are no refuge from a ``MemoryError``. The
+        ``engine.kernel`` fault site is checked once, so chaos can kill
+        exactly the first rung. Only deliberate
+        injections (:class:`InjectedFault`) and memory pressure degrade
+        here; genuine kernel bugs stay loud, because silently papering over
+        them would hide miscompares, not failures. The tier that actually
+        executed is stamped onto ``stats.kernel_tier``.
         """
         if deadline is not None:
             deadline.check("engine", "numeric start")
@@ -1128,38 +1144,12 @@ class Engine:
             result = masked_spgemm(A, B, mask, algorithm=algorithm,
                                    semiring=semiring, phases=phases,
                                    executor=self.executor, plan=plan)
-            if stats is not None:
-                stats.kernel_tier = kernel_tier(
-                    plan.algorithm if plan is not None else algorithm)
+            self._stamp_tier(stats, plan.algorithm if plan is not None
+                             else algorithm, A, B, mask, semiring)
             return result
         except (InjectedFault, MemoryError) as exc:
             if plan is None:
                 raise  # baselines have no plan to relabel for a lower rung
-            base = NATIVE_BASE.get(plan.algorithm)
-            if base is not None:
-                # compiled rung failed: replay the plan on its fused base
-                # kernel before resorting to the loop tier
-                self._note_degrade("native", "fused",
-                                   error=type(exc).__name__)
-                with span("degrade", tier="fused",
-                          error=type(exc).__name__,
-                          **{"from": "native", "to": "fused"}):
-                    fused_plan = SymbolicPlan(algorithm=base,
-                                              phases=plan.phases,
-                                              shape=plan.shape,
-                                              row_sizes=plan.row_sizes)
-                    try:
-                        if self.faults is not None:
-                            apply_fault(self.faults.check("engine.kernel"))
-                        result = masked_spgemm(
-                            A, B, mask, algorithm=base, semiring=semiring,
-                            phases=phases, executor=self.executor,
-                            plan=fused_plan)
-                        if stats is not None:
-                            stats.kernel_tier = "fused"
-                        return result
-                    except (InjectedFault, MemoryError) as exc2:
-                        exc, plan = exc2, fused_plan
             self._note_degrade("inprocess", "loop",
                                error=type(exc).__name__)
             with span("degrade", tier="loop", error=type(exc).__name__,
@@ -1267,8 +1257,8 @@ class Engine:
                     and plan is not None and plan.row_sizes is not None
                     and self.shards.eligible(plan.algorithm, semiring)):
                 if self.breaker.allow():
-                    result = self._shard_tier(request, mask, plan, semiring,
-                                              key, stats, deadline)
+                    result = self._shard_tier(request, A, B, mask, plan,
+                                              semiring, key, stats, deadline)
                 else:
                     # breaker open: route around the pool without paying a
                     # scatter-and-fail round trip per request

@@ -78,6 +78,22 @@ def _keys(m: CSRMatrix) -> np.ndarray:
     return rows * m.ncols + m.indices
 
 
+def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d`` for two sorted unique key arrays, by merge: concatenate,
+    stable-sort (a run-detecting merge of the two sorted runs), drop adjacent
+    duplicates. Same values and dtype as ``np.union1d``, without its generic
+    ``np.unique``, which is hash-based on recent NumPy and ~50x slower when
+    a large pattern meets a small one (a BC update, a delta batch)."""
+    keys = np.concatenate((a, b))
+    keys.sort(kind="stable")
+    if keys.size > 1:
+        keep = np.empty(keys.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys
+
+
 def _from_keys(keys: np.ndarray, values: np.ndarray, shape) -> CSRMatrix:
     """Rebuild a canonical CSR from sorted unique keys + aligned values."""
     nrows, ncols = shape
@@ -138,7 +154,7 @@ def apply_coordinate_delta(
         keys, vals = keys[keep], vals[keep]
     overwrote = False
     if insert_keys.size:
-        union = np.union1d(keys, insert_keys)
+        union = sorted_union(keys, insert_keys)
         new_vals = np.empty(union.size, dtype=VALUE_DTYPE)
         new_vals[np.searchsorted(union, keys)] = vals
         new_vals[np.searchsorted(union, insert_keys)] = insert_values
@@ -372,7 +388,7 @@ def ewise_add(
     where only one operand stores a value, that value passes through."""
     check_same_shape(a.shape, b.shape, "ewise_add operands")
     ka, kb = _keys(a), _keys(b)
-    union = np.union1d(ka, kb)
+    union = sorted_union(ka, kb)
     vals = np.zeros(union.size, dtype=VALUE_DTYPE)
     pa = np.searchsorted(union, ka)
     pb = np.searchsorted(union, kb)

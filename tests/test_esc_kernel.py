@@ -251,12 +251,8 @@ def test_auto_select_routes_short_rows_to_esc(rng):
     M = csr_random(n, n, density=4 / n, rng=rng)
     assert auto_select(A, A, Mask.from_matrix(M)) == "esc"
     assert auto_select(A, A, Mask.from_matrix(M, complemented=True)) == "esc"
-    # dense rows must keep the classic accumulators (routed to their
-    # compiled variants when the native probe passes)
-    from repro.native import native_available
-
+    # dense rows must keep the classic accumulators (which run compiled
+    # when the native probe passes)
     D = csr_random(64, 64, density=0.5, rng=rng)   # ~32 nnz/row → 1024 flops
     DM = csr_random(64, 64, density=0.5, rng=rng)
-    expected = (("msa-native", "hash-native") if native_available()
-                else ("msa", "hash"))
-    assert auto_select(D, D, Mask.from_matrix(DM)) in expected
+    assert auto_select(D, D, Mask.from_matrix(DM)) in ("msa", "hash")

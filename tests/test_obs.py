@@ -358,8 +358,8 @@ def test_auto_select_routes_ktruss_regime_to_loop(rng):
     E = csr_random(n, n, density=32 / n, rng=rng)  # long rows, ~524k flops
     mask = Mask.from_matrix(E)
     # the compiled msa subsumes the loop tier's dispatch-overhead win, so a
-    # passing native probe routes this regime to msa-native instead
-    expected = "msa-native" if native_available() else "msa-loop"
+    # passing native probe routes this regime to msa instead
+    expected = "msa" if native_available() else "msa-loop"
     assert auto_select(E, E, mask) == expected
     # the routing tier resolves but stays out of the public listing
     assert get_spec("msa-loop").numeric.__name__ == "numeric_rows_loop"

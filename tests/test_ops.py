@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.sparse import CSRMatrix, csr_random, ops
@@ -176,3 +178,30 @@ def test_fingerprint_dtype_and_layout_invariance(rng):
     strided = ops.pattern_fingerprint(
         np.repeat(a.indptr, 2)[::2], np.repeat(a.indices, 2)[::2], a.shape)
     assert fp32 == ops.matrix_fingerprint(a) == strided
+
+
+_SORTED_KEYS = st.lists(st.integers(-2**40, 2**40), max_size=60).map(
+    lambda xs: np.unique(np.asarray(xs, dtype=np.int64)))
+
+
+@given(a=_SORTED_KEYS, b=_SORTED_KEYS)
+@settings(max_examples=200, deadline=None)
+def test_sorted_union_matches_union1d(a, b):
+    """The merge union under ewise_add / apply_coordinate_delta equals
+    np.union1d on sorted unique keys, empty inputs included."""
+    want = np.union1d(a, b)
+    got = ops.sorted_union(a, b)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.empty(0, np.int64), np.empty(0, np.int64)),
+    (np.empty(0, np.int64), np.array([3, 7], np.int64)),
+    (np.array([5], np.int64), np.empty(0, np.int64)),
+    (np.array([1, 4, 9], np.int64), np.array([1, 4, 9], np.int64)),
+])
+def test_sorted_union_edge_cases(a, b):
+    want = np.union1d(a, b)
+    got = ops.sorted_union(a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -12,12 +12,14 @@ flops per chunk (times collapse toward dispatch overhead); one that is too
 large overfills the cache (times balloon past the streaming bound).
 
 This tool serves a triangle-counting workload through a real
-:class:`repro.service.Engine` once per kernel tier (fused ``msa``/``hash``
-with :data:`FUSED_BYTES_PER_FLOP`, compiled ``msa-native``/``hash-native``
-with :data:`NATIVE_BYTES_PER_FLOP` when the native probe passes), reads the
-``repro_chunk_seconds{kernel,phase="numeric"}`` histograms back through the
-same Prometheus text exposition a scraper would see, interpolates the p50
-per kernel from the cumulative buckets, and flags any kernel whose p50
+:class:`repro.service.Engine` once per kernel tier: ``msa``/``hash`` with
+the compiled backend withheld (fused kernels, :data:`FUSED_BYTES_PER_FLOP`)
+and, when the native probe passes, with it (compiled loops,
+:data:`NATIVE_BYTES_PER_FLOP`). Each tier gets a fresh engine, so its
+``repro_chunk_seconds{kernel,phase="numeric"}`` histograms — read back
+through the same Prometheus text exposition a scraper would see — hold that
+tier's chunks only. It interpolates the p50 per kernel and tier from the
+cumulative buckets, and flags any whose p50
 falls outside a ``BAND``-wide window around the streaming model. The band
 is deliberately loose (machine bandwidth varies ~10x across CI boxes): the
 check catches order-of-magnitude mispredictions — a stale constant after a
@@ -98,39 +100,56 @@ def _workload(scale: int):
     return L, Mask.from_matrix(L)
 
 
-def check(scale: int, repeats: int) -> list[str]:
-    from repro.native import native_available
+def _tier_p50s(L, mask, repeats: int, fused: bool) -> dict[str, float]:
+    """Serve msa/hash on a fresh engine, the compiled backend withheld when
+    ``fused``; returns that engine's numeric chunk p50 per kernel."""
+    from contextlib import nullcontext
+    from unittest import mock
+
+    from repro.native import kernels as native_kernels
     from repro.obs import parse_exposition
-    from repro.parallel.partition import (DEFAULT_CHUNK_CACHE_BYTES,
-                                          FUSED_BYTES_PER_FLOP,
-                                          NATIVE_BYTES_PER_FLOP)
     from repro.service import Engine, Request
 
-    kernels = {"msa": FUSED_BYTES_PER_FLOP, "hash": FUSED_BYTES_PER_FLOP}
-    if native_available():
-        kernels["msa-native"] = NATIVE_BYTES_PER_FLOP
-        kernels["hash-native"] = NATIVE_BYTES_PER_FLOP
-    else:
-        print("native tier unavailable on this box; "
-              "checking the fused constants only")
-
-    L, mask = _workload(scale)
+    withheld = (mock.patch.object(native_kernels, "_backend",
+                                  return_value=None)
+                if fused else nullcontext())
     engine = Engine()
     try:
         engine.register("L", L)
         engine.register("M", mask.to_matrix())
-        for kernel in kernels:
-            for _ in range(repeats):
-                engine.submit(Request(a="L", b="L", mask="M",
-                                      algorithm=kernel, phases=2,
-                                      semiring="plus_pair"))
-        families = parse_exposition(engine.metrics.render())
+        with withheld:
+            for kernel in ("msa", "hash"):
+                for _ in range(repeats):
+                    engine.submit(Request(a="L", b="L", mask="M",
+                                          algorithm=kernel, phases=2,
+                                          semiring="plus_pair"))
+        return _chunk_p50s(parse_exposition(engine.metrics.render()))
     finally:
         engine.close()
 
+
+def check(scale: int, repeats: int) -> list[str]:
+    from repro.native import native_available
+    from repro.parallel.partition import (DEFAULT_CHUNK_CACHE_BYTES,
+                                          FUSED_BYTES_PER_FLOP,
+                                          NATIVE_BYTES_PER_FLOP)
+
+    L, mask = _workload(scale)
+    tiers = [("fused", FUSED_BYTES_PER_FLOP)]
+    if native_available():
+        tiers.append(("native", NATIVE_BYTES_PER_FLOP))
+    else:
+        print("native tier unavailable on this box; "
+              "checking the fused constants only")
+    kernels, p50s = {}, {}
+    for tier, bpf in tiers:
+        observed = _tier_p50s(L, mask, repeats, tier == "fused")
+        for kernel in ("msa", "hash"):
+            kernels[f"{kernel}/{tier}"] = bpf
+            p50s[f"{kernel}/{tier}"] = observed.get(kernel)
+
     expected = DEFAULT_CHUNK_CACHE_BYTES / STREAM_BANDWIDTH
     lo, hi = expected / BAND, expected * BAND
-    p50s = _chunk_p50s(families)
     problems = []
     for kernel, bpf in kernels.items():
         p50 = p50s.get(kernel)
